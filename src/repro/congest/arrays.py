@@ -526,6 +526,7 @@ def run_array_phase(
                 "messages": stats.messages,
                 "ticks": stats.ticks,
                 "bits": stats.bits,
+                **(program.trace_args or {}),
             },
         )
     return stats

@@ -245,6 +245,7 @@ class AsyncEngine:
                     "ack_messages": overhead.ack_messages,
                     "safe_messages": overhead.safe_messages,
                     "max_skew": overhead.max_skew,
+                    **(getattr(program, "trace_args", None) or {}),
                 },
             )
         self.overhead.charge(

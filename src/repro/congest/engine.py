@@ -278,6 +278,9 @@ class Program:
 
     #: Descriptive name used in ledgers and error messages.
     name: str = "program"
+    #: Extra ``args`` merged into this phase's ``engine.phase`` trace span
+    #: (e.g. why a wave pass ran scalar); read only while tracing.
+    trace_args: Optional[Dict[str, object]] = None
 
     def on_start(self, ctx: Context) -> None:
         """Inject round-0 messages and wakeups."""
@@ -495,6 +498,7 @@ class Engine:
                     "messages": stats.messages,
                     "ticks": stats.ticks,
                     "bits": stats.bits,
+                    **(getattr(program, "trace_args", None) or {}),
                 },
             )
             return stats

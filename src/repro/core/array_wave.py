@@ -31,7 +31,8 @@ on the serial wire schedule bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -889,30 +890,103 @@ class ReplayArrayKernel(ArrayProgram):
         actx.wake(wake)
 
 
+#: Below this many nodes a PA wave pass runs the scalar wave programs
+#: even on the array engine.  Measured as the ratio of one SUM solve's
+#: array time to its scalar time on a prepared setup (grid and
+#: random-regular graphs, sqrt(n)-sized BFS-ball parts, min of 15 runs;
+#: the table and how to re-measure it are in docs/architecture.md): the
+#: array wave triple loses below about 768 nodes, where its fixed
+#: per-tick numpy costs outweigh the per-node Python loop, and wins above.
+#: Only the wave triple is gated; every other array kernel (election,
+#: claim, annotation, sub-part probes) keeps the array engine at any n.
+ARRAY_WAVE_MIN_N = 768
+
+_INT64_SAFE = 1 << 62
+
+
+def wave_fallback_reason(
+    engine, values: Sequence[object], agg: Aggregation,
+    leader_tokens: Dict[int, object],
+) -> Optional[str]:
+    """Why a wave pass must run the scalar programs, or None for arrays.
+
+    The reasons, in the order they are checked:
+
+    * ``"scalar_engine"`` — the engine does not advertise ``use_arrays``
+      (``engine_impl="scalar"`` or the async engine);
+    * ``"payload"`` — a value is not a plain int (tuple-packed batches,
+      MST composite keys);
+    * ``"aggregation"`` — int values, but the combine is not SUM, MIN or
+      MAX;
+    * ``"token"`` — a leader token is not an int64-safe int;
+    * ``"int64_range"`` — the values could overflow int64: for SUM the
+      sum of magnitudes, for MIN/MAX any single magnitude, reaches 2**62;
+    * ``"below_crossover"`` — the wave is array-eligible but the network
+      has fewer than :data:`ARRAY_WAVE_MIN_N` nodes.
+    """
+    if not getattr(engine, "use_arrays", False):
+        return "scalar_engine"
+    if agg is not SUM and agg is not MIN and agg is not MAX:
+        first = next((val for val in values if val is not None), None)
+        if first is None or type(first) is int:
+            return "aggregation"
+        return "payload"
+    for token in leader_tokens.values():
+        if type(token) is not int or abs(token) >= _INT64_SAFE:
+            return "token"
+    if agg is SUM:
+        total = 0
+        for val in values:
+            if val is None:
+                continue
+            if type(val) is not int:
+                return "payload"
+            total += abs(val)
+        if total >= _INT64_SAFE:
+            return "int64_range"
+    else:
+        for val in values:
+            if val is None:
+                continue
+            if type(val) is not int:
+                return "payload"
+            if abs(val) >= _INT64_SAFE:
+                return "int64_range"
+    if engine.network.n < ARRAY_WAVE_MIN_N:
+        return "below_crossover"
+    return None
+
+
 def array_wave_supported(
     engine, values: Sequence[object], agg: Aggregation,
     leader_tokens: Dict[int, object],
 ) -> bool:
     """Whether the array wave path applies (else: scalar programs).
 
-    Requires the array engine, a SUM/MIN/MAX aggregation over plain-int
-    (or None) values with int64-safe magnitudes, and int leader tokens —
-    the representable subset of the wave's payload space.  Everything else
-    (tuple-packed batches, MST composite keys, custom merges) falls back
-    to the scalar programs, which run unchanged under the array engine.
+    True exactly when :func:`wave_fallback_reason` finds no reason to
+    fall back: the array engine, a SUM/MIN/MAX aggregation over plain-int
+    (or None) values with int64-safe magnitudes, int leader tokens, and a
+    network of at least :data:`ARRAY_WAVE_MIN_N` nodes.  Everything else
+    (tuple-packed batches, MST composite keys, custom merges, small
+    networks) runs the scalar programs, which run unchanged under the
+    array engine with bit-for-bit identical ledgers.
     """
-    if not getattr(engine, "use_arrays", False):
-        return False
-    if agg is not SUM and agg is not MIN and agg is not MAX:
-        return False
-    for token in leader_tokens.values():
-        if type(token) is not int or abs(token) >= 1 << 62:
-            return False
-    total = 0
-    for val in values:
-        if val is None:
-            continue
-        if type(val) is not int:
-            return False
-        total += abs(val)
-    return total < 1 << 62
+    return wave_fallback_reason(engine, values, agg, leader_tokens) is None
+
+
+@contextmanager
+def force_array_waves() -> Iterator[None]:
+    """Within the block, the crossover is 0: every eligible wave is array.
+
+    Parity tests and the fuzzer's ``"array"`` engine axis run on small
+    graphs, which would otherwise compare the scalar wave programs with
+    themselves.  Plans are computed in the calling process, so sharded
+    solves inside the block ship the forced decision to their workers.
+    """
+    global ARRAY_WAVE_MIN_N
+    saved = ARRAY_WAVE_MIN_N
+    ARRAY_WAVE_MIN_N = 0
+    try:
+        yield
+    finally:
+        ARRAY_WAVE_MIN_N = saved

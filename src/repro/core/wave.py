@@ -545,11 +545,16 @@ class WavePlan:
     per-part delays (drawn from the solver rng in pid order, so planning
     advances the rng exactly as running used to), the round budget
     (computed from the *global* n/b/c/depth), the leader tokens, and the
-    array-vs-scalar dispatch decision (evaluated on the global values —
-    a restriction of the values could pass the int64-overflow check where
-    the full set does not).  The sharded backend ships one plan to every
-    worker, restricted per shard, so all shards run under the exact
-    parameters the serial pass would have used.
+    array-vs-scalar dispatch decision (evaluated on the global values and
+    the global n — a restriction could pass the int64-overflow check or
+    fall below the size crossover where the full pass does not).  The
+    sharded backend ships one plan to every worker, restricted per shard,
+    so all shards run under the exact parameters the serial pass would
+    have used.
+
+    ``fallback_reason`` says why a scalar pass went scalar (one of the
+    reasons :func:`~repro.core.array_wave.wave_fallback_reason` returns)
+    and is None when ``use_array`` is set.
     """
 
     capacity: int
@@ -558,6 +563,7 @@ class WavePlan:
     max_ticks: int
     leader_tokens: Dict[int, object]
     use_array: bool
+    fallback_reason: Optional[str] = None
 
 
 def plan_pa_waves(
@@ -610,15 +616,23 @@ def plan_pa_waves(
         for pid in range(partition.num_parts)
     }
 
-    from .array_wave import array_wave_supported
+    # Looked up at call time: ``array_wave_supported`` stays the one
+    # dispatch point, so wrapping it observes every decision.
+    from . import array_wave
 
+    use_array = array_wave.array_wave_supported(
+        engine, values, agg, leader_tokens
+    )
     return WavePlan(
         capacity=capacity,
         rounds_per_tick=rounds_per_tick,
         delays=delays,
         max_ticks=max_ticks,
         leader_tokens=leader_tokens,
-        use_array=array_wave_supported(engine, values, agg, leader_tokens),
+        use_array=use_array,
+        fallback_reason=None if use_array else array_wave.wave_fallback_reason(
+            engine, values, agg, leader_tokens
+        ),
     )
 
 
@@ -690,6 +704,7 @@ def run_planned_waves(
         delays=delays, capacity=capacity,
     )
     wave.name = f"{phase_prefix}_wave"
+    wave.trace_args = {"fallback": plan.fallback_reason}
     stats = engine.run(
         wave, max_ticks=max_ticks, capacity=capacity,
         rounds_per_tick=rounds_per_tick,

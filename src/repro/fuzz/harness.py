@@ -47,6 +47,7 @@ from ..analysis.reference import kruskal_mst
 from ..congest.faults import FaultPlan
 from ..congest.schedule import Schedule, _mix, make_schedule
 from ..core.aggregation import SUM
+from ..core.array_wave import force_array_waves
 from ..core.pa import DETERMINISTIC, RANDOMIZED, solve_pa
 from ..graphs.generators import (
     grid_2d,
@@ -266,10 +267,13 @@ def run_case(case: FuzzCase) -> Optional[str]:
         for impl in case.engine_impls:
             if impl == "scalar":
                 continue  # the baseline above
-            impl_out, impl_ledger = _run_workload(
-                case, net, partition, values, schedule=None,
-                async_mode=False, engine_impl=impl,
-            )
+            # Fuzzed graphs sit below the array wave's size crossover;
+            # forcing it keeps the wave kernels on the differential axis.
+            with force_array_waves():
+                impl_out, impl_ledger = _run_workload(
+                    case, net, partition, values, schedule=None,
+                    async_mode=False, engine_impl=impl,
+                )
             if impl_out != base_out:
                 return f"{impl} engine output differs from the scalar engine"
             if _phase_log(impl_ledger) != _phase_log(base_ledger):

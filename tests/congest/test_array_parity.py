@@ -25,6 +25,7 @@ from repro.core import (
     SUM,
     solve_pa,
 )
+from repro.core.array_wave import force_array_waves
 from repro.graphs import (
     bfs_ball_partition,
     grid_2d,
@@ -34,6 +35,18 @@ from repro.graphs import (
     random_regular,
     with_distinct_weights,
 )
+
+
+@pytest.fixture(autouse=True)
+def _array_waves_at_any_n():
+    """Run the array wave kernels below their size crossover.
+
+    These graphs are far smaller than ``ARRAY_WAVE_MIN_N``; unforced, the
+    array engine would dispatch every wave to the scalar programs and the
+    wave parity checks would compare scalar against scalar.
+    """
+    with force_array_waves():
+        yield
 
 
 def _phase_log(ledger):

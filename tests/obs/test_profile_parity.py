@@ -11,6 +11,7 @@ import pytest
 
 from repro import PASession
 from repro.core import SUM
+from repro.core.array_wave import force_array_waves
 from repro.core.pa import PASolver
 from repro.graphs import bfs_ball_partition, grid_2d
 
@@ -19,6 +20,18 @@ ENGINES = [
     ("array", {"engine_impl": "array"}),
     ("async", {"async_mode": True}),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _array_waves_at_any_n():
+    """Run the array wave kernels below their size crossover.
+
+    These graphs are far smaller than ``ARRAY_WAVE_MIN_N``; unforced, the
+    array engine would dispatch every wave to the scalar programs and the
+    wave parity checks would compare scalar against scalar.
+    """
+    with force_array_waves():
+        yield
 
 
 @pytest.fixture(scope="module")

@@ -16,6 +16,7 @@ import pytest
 
 from repro import PASession
 from repro.core import MIN, MIN_TUPLE, SUM
+from repro.core.array_wave import force_array_waves
 from repro.graphs import (
     grid_2d,
     random_connected,
@@ -26,6 +27,18 @@ from repro.algorithms import minimum_spanning_tree
 
 MODES = ["randomized", "deterministic"]
 WORKER_COUNTS = [1, 2, 4]
+
+
+@pytest.fixture(autouse=True)
+def _array_waves_at_any_n():
+    """Run the array wave kernels below their size crossover.
+
+    These graphs are far smaller than ``ARRAY_WAVE_MIN_N``; unforced,
+    every shard would run the scalar wave programs and the array kernels'
+    per-shard restriction would go untested.
+    """
+    with force_array_waves():
+        yield
 
 
 def _phase_sig(ledger):
