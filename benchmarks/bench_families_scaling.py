@@ -27,7 +27,7 @@ Two demonstrations:
   certificate, at n up to 50k.
 
 Like the other scaling sweeps everything runs with ``strict_bits=False``
-and ``strict_edges=False`` (ledger parity is pinned by the engine tests);
+(ledger parity is pinned by the engine tests);
 ``REPRO_FAMILIES_MAX_N`` caps the sweep (default 50000).
 """
 
@@ -73,7 +73,7 @@ def _log2(n: int) -> int:
 
 
 def _fresh_solver(net, seed):
-    return PASolver(net, seed=seed, strict_bits=False, strict_edges=False)
+    return PASolver(net, seed=seed, strict_bits=False)
 
 
 def _full_pa(net, partition, provider, seed):
@@ -107,9 +107,7 @@ def test_planar_congestion_tracks_diameter(benchmark):
             # congestion is the clean c ~ rows ~ D signal (an elected
             # leader in the middle would halve it without changing the
             # asymptotics).
-            solver = PASolver(
-                net, seed=11, root=0, strict_bits=False, strict_edges=False
-            )
+            solver = PASolver(net, seed=11, root=0, strict_bits=False)
             d = solver.diameter
             # Rows are smaller than D, so both pipelines would exempt
             # them; claim_small exhibits the construction's envelope.

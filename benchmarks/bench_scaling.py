@@ -17,11 +17,11 @@ MST (Corollary 1.3) runs on the expander family at smaller n: each
 Boruvka phase rebuilds the PA pipeline, so its wall cost per node is an
 order of magnitude above a single PA solve.
 
-Like the theorem-1.2 sweep, everything runs with ``strict_bits=False``
-and ``strict_edges=False``: the per-message audits are pure simulator
-overhead once the test suite has pinned payload sizes and program sends
-(parity is asserted by ``tests/congest/test_engine_edge.py``).  Ledger
-values are identical either way.
+Like the theorem-1.2 sweep, everything runs with ``strict_bits=False``:
+the per-message bit audit is pure simulator overhead once the test suite
+has pinned payload sizes (parity is asserted by
+``tests/congest/test_engine_edge.py``).  Ledger values are identical
+either way.
 
 ``REPRO_SCALING_MAX_N`` caps the sweep (default 50000; raise to 100000+
 locally to plot the full regime, lower it to smoke-test quickly).
@@ -57,7 +57,7 @@ BALL_SIZE = 55
 def _pa_once(net, partition, seed):
     """One full PA pipeline (tree + prepare + solve); returns metrics."""
     start = time.perf_counter()
-    solver = PASolver(net, seed=seed, strict_bits=False, strict_edges=False)
+    solver = PASolver(net, seed=seed, strict_bits=False)
     setup = solver.prepare(partition)
     result = solver.solve(setup, [1] * net.n, SUM, charge_setup=True)
     wall = time.perf_counter() - start
@@ -147,9 +147,7 @@ def test_mst_scaling(benchmark):
                 continue
             net = with_distinct_weights(random_regular(n, 4, seed=31), seed=5)
             start = time.perf_counter()
-            solver = PASolver(
-                net, seed=33, strict_bits=False, strict_edges=False
-            )
+            solver = PASolver(net, seed=33, strict_bits=False)
             result = minimum_spanning_tree(net, seed=33, solver=solver)
             wall = time.perf_counter() - start
             walls[n] = wall

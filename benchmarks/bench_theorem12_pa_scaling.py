@@ -5,11 +5,10 @@ bounded-degree general family and report rounds / (D + sqrt n) and
 messages / m: both ratios should stay within polylog factors (flat-ish),
 rather than growing polynomially.
 
-The sweep runs with ``strict_bits=False`` and ``strict_edges=False``:
-payload sizes and program sends are pinned by the test suite
-(``tests/congest/test_engine_edge.py`` proves audit-off runs charge
-identical rounds/messages), so the per-message audits are pure simulator
-overhead here.  The ledger numbers are identical either way.
+The sweep runs with ``strict_bits=False``: payload sizes are pinned by
+the test suite (``tests/congest/test_engine_edge.py`` proves audit-off
+runs charge identical rounds/messages), so the per-message bit audit is
+pure simulator overhead here.  The ledger numbers are identical either way.
 """
 
 import math
@@ -32,9 +31,7 @@ def test_theorem12_scaling(benchmark):
             start = time.perf_counter()
             net = random_regular_ish(n, 4, seed=11)
             part = random_connected_partition(net, max(2, n // 10), seed=12)
-            solver = PASolver(
-                net, seed=13, strict_bits=False, strict_edges=False
-            )
+            solver = PASolver(net, seed=13, strict_bits=False)
             setup = solver.prepare(part)
             result = solver.solve(setup, [1] * n, SUM, charge_setup=False)
             walls[n] = time.perf_counter() - start

@@ -14,7 +14,6 @@ from .engine import (
     BulkProgram,
     Context,
     Engine,
-    FastContext,
     FunctionProgram,
     Inbox,
     Program,
@@ -73,7 +72,6 @@ __all__ = [
     "Engine",
     "EngineProfile",
     "FIFORandomSchedule",
-    "FastContext",
     "FaultPlan",
     "FaultReport",
     "FunctionProgram",

@@ -217,7 +217,6 @@ class ArrayContext:
         "capacity",
         "rounds_per_tick",
         "strict_bits",
-        "strict_edges",
         "bit_limit",
         "_src_parts",
         "_dst_parts",
@@ -232,7 +231,6 @@ class ArrayContext:
         self,
         network,
         strict_bits: bool,
-        strict_edges: bool,
         capacity: int,
         rounds_per_tick: int,
     ) -> None:
@@ -243,7 +241,6 @@ class ArrayContext:
         self.capacity = capacity
         self.rounds_per_tick = rounds_per_tick
         self.strict_bits = strict_bits
-        self.strict_edges = strict_edges
         self.bit_limit = network.message_bits
         self._src_parts: List[np.ndarray] = []
         self._dst_parts: List[np.ndarray] = []
@@ -288,17 +285,16 @@ class ArrayContext:
         count = src.size
         if count == 0:
             return
-        if self.strict_edges:
-            table = self.arrays.edge_keys
-            if table.size == 0:
-                raise NotAnEdgeError(int(src[0]), int(dst[0]))
-            keys = src * self.n + dst
-            pos = np.searchsorted(table, keys)
-            pos[pos >= table.size] = table.size - 1
-            ok = (src >= 0) & (src < self.n) & (table[pos] == keys)
-            if not ok.all():
-                i = int(np.argmax(~ok))
-                raise NotAnEdgeError(int(src[i]), int(dst[i]))
+        table = self.arrays.edge_keys
+        if table.size == 0:
+            raise NotAnEdgeError(int(src[0]), int(dst[0]))
+        keys = src * self.n + dst
+        pos = np.searchsorted(table, keys)
+        pos[pos >= table.size] = table.size - 1
+        ok = (src >= 0) & (src < self.n) & (table[pos] == keys)
+        if not ok.all():
+            i = int(np.argmax(~ok))
+            raise NotAnEdgeError(int(src[i]), int(dst[i]))
         if self.strict_bits:
             if bits is None:
                 raise ValueError(
@@ -386,7 +382,6 @@ def run_array_phase(
     actx = ArrayContext(
         engine.network,
         engine.strict_bits,
-        engine.strict_edges,
         capacity,
         rounds_per_tick,
     )

@@ -71,7 +71,7 @@ from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs.tracer import current_tracer
-from .engine import Context, FastContext, Program
+from .engine import Context, Program
 from .errors import (
     ChannelCapacityError,
     RoundLimitExceededError,
@@ -145,20 +145,13 @@ class AsyncEngine:
         schedule: Optional[Schedule] = None,
         strict_bits: bool = True,
         profile: bool = False,
-        strict_edges: bool = True,
         faults: Optional[FaultPlan] = None,
         fast_forward: bool = True,
     ) -> None:
-        if not strict_edges and strict_bits:
-            raise ValueError(
-                "strict_edges=False requires strict_bits=False: the "
-                "audit-free FastContext drops both checks together"
-            )
         self.network = network
         self.schedule = schedule if schedule is not None else SynchronousSchedule()
         validate_schedule(self.schedule, network)
         self.strict_bits = strict_bits
-        self.strict_edges = strict_edges
         self.profile = profile
         #: The fault plan, normalized so an *empty* plan is no plan at
         #: all — the no-fault path must be bit-for-bit the fault-free
@@ -200,10 +193,7 @@ class AsyncEngine:
         """
         phase_name = name or program.name
         want_profile = self.profile if profile is None else profile
-        ctx_cls = (
-            Context if (self.strict_bits or self.strict_edges) else FastContext
-        )
-        ctx = ctx_cls(self.network, self.strict_bits)
+        ctx = Context(self.network, self.strict_bits)
         run = _AsyncPhase(
             self.network, self.schedule, program, ctx, max_ticks, capacity,
             phase_name, faults=self.faults, pulse_base=self.global_pulse,

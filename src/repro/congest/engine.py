@@ -222,42 +222,6 @@ class Context:
         bucket.add(node)
 
 
-class FastContext(Context):
-    """A :class:`Context` with the per-message model audits compiled out.
-
-    Used by the engine when ``strict_bits=False`` *and*
-    ``strict_edges=False``: the per-send edge-membership check and the
-    bit-budget audit are skipped entirely.  Delivery schedule, per-edge
-    capacity enforcement and all metered costs are unchanged (pinned by
-    the parity tests); only a buggy program that sends to a non-neighbor
-    would now mis-deliver instead of raising, which is why the relaxed
-    mode is reserved for workloads whose programs the test suite already
-    exercises under the strict engine.
-    """
-
-    __slots__ = ()
-
-    def send(self, src: int, dst: int, payload: object) -> None:
-        box = self._mail[dst]
-        if not box:
-            self._touched.append(dst)
-        box.append((src, payload))
-        self._sent += 1
-
-    def send_batch(self, src: int, entries) -> None:
-        mail = self._mail
-        touched = self._touched
-        count = 0
-        for entry in entries:
-            dst = entry[0]
-            box = mail[dst]
-            if not box:
-                touched.append(dst)
-            box.append((src, entry[-1]))
-            count += 1
-        self._sent += count
-
-
 class Program:
     """Base class for engine programs.
 
@@ -367,14 +331,6 @@ class Engine:
         Validate every payload against the O(log n)-bit budget.  On by
         default; benchmarks on large inputs may disable it for speed after
         the test suite has pinned payload sizes.
-    strict_edges:
-        Validate that every send travels along a network edge.  On by
-        default; with both ``strict_bits`` and ``strict_edges`` off the
-        engine hands programs a :class:`FastContext` whose send path does
-        no per-message auditing at all (ledger values are identical either
-        way — pinned by tests).  The audits come off together:
-        ``strict_edges=False`` with ``strict_bits=True`` is rejected
-        rather than silently keeping the edge audit.
     profile:
         Attach an :class:`~repro.congest.ledger.EngineProfile` (ticks, peak
         in-flight messages, activation counts) to every returned
@@ -395,17 +351,10 @@ class Engine:
         network: Network,
         strict_bits: bool = True,
         profile: bool = False,
-        strict_edges: bool = True,
         use_arrays: bool = False,
     ) -> None:
-        if not strict_edges and strict_bits:
-            raise ValueError(
-                "strict_edges=False requires strict_bits=False: the "
-                "audit-free FastContext drops both checks together"
-            )
         self.network = network
         self.strict_bits = strict_bits
-        self.strict_edges = strict_edges
         self.profile = profile
         self.use_arrays = use_arrays
         #: Double-buffered per-node mailbox arenas, allocated lazily and
@@ -464,10 +413,7 @@ class Engine:
                 self._arena = arena
         else:
             arena = self._arena
-        ctx_cls = (
-            Context if (self.strict_bits or self.strict_edges) else FastContext
-        )
-        ctx = ctx_cls(self.network, self.strict_bits, mail=arena[0])
+        ctx = Context(self.network, self.strict_bits, mail=arena[0])
         reentrant = self._arena_in_use
         self._arena_in_use = True
         # Observability: one current_tracer() fetch and one ``enabled``

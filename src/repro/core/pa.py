@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..congest.async_engine import AsyncEngine
 from ..congest.engine import Engine
@@ -108,7 +108,7 @@ def product_aggregation(aggs: Sequence[Aggregation]) -> Aggregation:
     Components may be ``None`` ("no value yet" for that aggregate at that
     node); the product merges each slot with its aggregation's None-aware
     ``merge``.  Commutativity/associativity follow componentwise from the
-    factors'.
+    factors', which the result's ``combine.factors`` records.
     """
     agg_tuple = tuple(aggs)
 
@@ -117,6 +117,9 @@ def product_aggregation(aggs: Sequence[Aggregation]) -> Aggregation:
             agg.merge(x, y) for agg, x, y in zip(agg_tuple, a, b)
         )
 
+    # The factors let the sharded backend ship a product of stock
+    # aggregations by their names (closures cannot pickle).
+    combine.factors = agg_tuple
     name = "batch(" + ",".join(agg.name for agg in agg_tuple) + ")"
     return Aggregation(name, combine)
 
@@ -155,8 +158,8 @@ class PASolver:
         reference loop.  Asynchronous execution is always scalar.
     engine:
         A pre-built engine to run every phase on (mutually exclusive
-        with ``schedule``/``async_mode``; ``strict_bits``/``strict_edges``
-        and ``engine_impl`` are then the engine's own).  This is how the
+        with ``schedule``/``async_mode``; ``strict_bits`` and
+        ``engine_impl`` are then the engine's own).  This is how the
         recovery runtime shares one fault-injecting
         :class:`~repro.congest.AsyncEngine` — with its global pulse
         clock, overhead ledger and fault log — across the fresh solvers
@@ -175,7 +178,6 @@ class PASolver:
         seed: int = 0,
         root: Optional[int] = None,
         strict_bits: bool = True,
-        strict_edges: bool = True,
         schedule: Optional[Schedule] = None,
         async_mode: bool = False,
         engine_impl: str = "array",
@@ -208,14 +210,13 @@ class PASolver:
             self.engine_impl = engine_impl
             self.engine = AsyncEngine(
                 net, schedule=schedule,
-                strict_bits=strict_bits, strict_edges=strict_edges,
-                profile=profile,
+                strict_bits=strict_bits, profile=profile,
             )
         else:
             self.schedule = schedule
             self.engine_impl = engine_impl
             self.engine = Engine(
-                net, strict_bits=strict_bits, strict_edges=strict_edges,
+                net, strict_bits=strict_bits,
                 use_arrays=(engine_impl == "array"),
                 profile=profile,
             )
@@ -275,7 +276,6 @@ class PASolver:
         self.engine = Engine(
             net,
             strict_bits=old.strict_bits,
-            strict_edges=old.strict_edges,
             use_arrays=getattr(old, "use_arrays", False),
             profile=getattr(old, "profile", False),
         )
@@ -425,59 +425,81 @@ class PASolver:
         identical to the unbatched code path.  Setup cost is charged at
         most once in either case.
         """
-        if phase_prefixes is not None and len(phase_prefixes) != len(items):
-            raise ValueError("phase_prefixes must match items in length")
-        if not items:
-            raise ValueError("solve_many requires at least one aggregation")
-
-        if not batched or len(items) == 1:
-            ledger = CostLedger()
-            per_agg: List[PAResult] = []
-            for k, (values, agg) in enumerate(items):
-                prefix = (
-                    phase_prefixes[k] if phase_prefixes is not None
-                    else f"{phase_prefix}{k}"
-                )
-                result = self.solve(
-                    setup, values, agg,
-                    charge_setup=charge_setup and k == 0,
-                    phase_prefix=prefix,
-                )
-                ledger.merge(result.ledger)
-                per_agg.append(result)
-            return PABatchResult(
-                per_agg=per_agg, ledger=ledger, setup=setup, batched=False
-            )
-
-        aggs = [agg for _values, agg in items]
-        combined_values = list(zip(*(values for values, _agg in items)))
-        combined = self.solve(
-            setup, combined_values, product_aggregation(aggs),
-            charge_setup=charge_setup, phase_prefix=phase_prefix,
+        return run_solve_many(
+            self.solve, setup, items, charge_setup, phase_prefix,
+            phase_prefixes, batched=batched,
         )
-        k = len(items)
-        per_agg = []
-        for idx in range(k):
-            aggregates = {
-                pid: (value[idx] if value is not None else None)
-                for pid, value in combined.aggregates.items()
-            }
-            value_at_node = [
-                (value[idx] if value is not None else None)
-                for value in combined.value_at_node
-            ]
-            per_agg.append(
-                PAResult(
-                    aggregates=aggregates,
-                    value_at_node=value_at_node,
-                    ledger=combined.ledger,
-                    setup=setup,
-                )
+
+
+def run_solve_many(
+    solve: Callable[..., PAResult],
+    setup: PASetup,
+    items: Sequence[Tuple[Sequence[object], Aggregation]],
+    charge_setup: bool,
+    phase_prefix: str,
+    phase_prefixes: Optional[Sequence[str]],
+    batched: bool,
+) -> PABatchResult:
+    """The body of :meth:`PASolver.solve_many` over any wave pass.
+
+    ``solve(setup, values, agg, charge_setup=..., phase_prefix=...)``
+    runs one wave pass and returns its :class:`PAResult`;
+    :class:`~repro.runtime.PASession` passes its backend-dispatching
+    pass, so both backends share one batching implementation.
+    """
+    if phase_prefixes is not None and len(phase_prefixes) != len(items):
+        raise ValueError("phase_prefixes must match items in length")
+    if not items:
+        raise ValueError("solve_many requires at least one aggregation")
+
+    if not batched or len(items) == 1:
+        ledger = CostLedger()
+        per_agg: List[PAResult] = []
+        for k, (values, agg) in enumerate(items):
+            prefix = (
+                phase_prefixes[k] if phase_prefixes is not None
+                else f"{phase_prefix}{k}"
             )
+            result = solve(
+                setup, values, agg,
+                charge_setup=charge_setup and k == 0,
+                phase_prefix=prefix,
+            )
+            ledger.merge(result.ledger)
+            per_agg.append(result)
         return PABatchResult(
-            per_agg=per_agg, ledger=combined.ledger, setup=setup,
-            batched=True,
+            per_agg=per_agg, ledger=ledger, setup=setup, batched=False
         )
+
+    aggs = [agg for _values, agg in items]
+    combined_values = list(zip(*(values for values, _agg in items)))
+    combined = solve(
+        setup, combined_values, product_aggregation(aggs),
+        charge_setup=charge_setup, phase_prefix=phase_prefix,
+    )
+    k = len(items)
+    per_agg = []
+    for idx in range(k):
+        aggregates = {
+            pid: (value[idx] if value is not None else None)
+            for pid, value in combined.aggregates.items()
+        }
+        value_at_node = [
+            (value[idx] if value is not None else None)
+            for value in combined.value_at_node
+        ]
+        per_agg.append(
+            PAResult(
+                aggregates=aggregates,
+                value_at_node=value_at_node,
+                ledger=combined.ledger,
+                setup=setup,
+            )
+        )
+    return PABatchResult(
+        per_agg=per_agg, ledger=combined.ledger, setup=setup,
+        batched=True,
+    )
 
 
 def solve_pa(

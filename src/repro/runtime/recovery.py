@@ -186,7 +186,6 @@ class RecoveryDriver:
         max_attempts: int = 8,
         max_wait_windows: int = 64,
         strict_bits: bool = True,
-        strict_edges: bool = True,
     ) -> None:
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -198,7 +197,7 @@ class RecoveryDriver:
         self.max_wait_windows = max_wait_windows
         self.engine = AsyncEngine(
             net, schedule=schedule, faults=faults,
-            strict_bits=strict_bits, strict_edges=strict_edges,
+            strict_bits=strict_bits,
         )
         #: Detection + re-election + recompute tax, separate from every
         #: workload ledger (mirrors ``AsyncEngine.overhead``).

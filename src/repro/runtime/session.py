@@ -6,7 +6,7 @@ treats each ``prepare`` as a one-shot: Boruvka's O(log n) phases rebuild
 the sub-part division and the shortcut from scratch every time the
 partition changes.  :class:`PASession` owns a solver (network, mode, seed,
 ledger conventions, optional family-aware shortcut provider) and adds
-three opt-in capabilities on top:
+five capabilities on top, each used only when asked for:
 
 * **Setup caching** (``reuse=True``): ``prepare`` memoizes on a partition
   fingerprint ``(part_of, leaders)``.  Re-preparing an already-seen
@@ -26,7 +26,9 @@ three opt-in capabilities on top:
   (Algorithm 2 — the paper's own trick for checking block parameters);
   a coarsened shortcut whose verified block count exceeds the budget is
   discarded for a fresh construction, so reuse can cost rounds but never
-  correctness.
+  correctness.  Coarsening and refinement (below) differ only in how
+  they project; validation, re-verification and the budget fallback are
+  one shared derivation skeleton.
 
 * **Incremental refinement** (``reuse=True``): the dual direction —
   when a partition split-only refines a prepared one (a part breaking
@@ -74,7 +76,7 @@ from ..core.pa import (
     PASetup,
     PASolver,
     RANDOMIZED,
-    product_aggregation,
+    run_solve_many,
 )
 from ..core.shortcuts import (
     Shortcut,
@@ -205,7 +207,7 @@ class PASession:
     """A long-lived PA acquisition point for one network.
 
     Parameters mirror :class:`~repro.core.pa.PASolver` (``net``, ``mode``,
-    ``seed``, ``root``, ``strict_bits``, ``strict_edges``), plus:
+    ``seed``, ``root``, ``strict_bits``), plus:
 
     shortcut_provider / family / family_param / claim_small:
         Which shortcut construction ``prepare`` uses.  ``family`` names a
@@ -214,7 +216,7 @@ class PASession:
         a provider and a family is an error.  ``None`` (default) is the
         general mode-selected pipeline, bit for bit.
     reuse:
-        Enable setup caching and incremental coarsening.
+        Enable setup caching and incremental coarsening and refinement.
     batch:
         Enable single-wave multi-aggregate solves in :meth:`solve_many`.
     max_entries:
@@ -259,7 +261,6 @@ class PASession:
         seed: int = 0,
         root: Optional[int] = None,
         strict_bits: bool = True,
-        strict_edges: bool = True,
         shortcut_provider: Optional[object] = None,
         family: Optional[str] = None,
         family_param: Optional[int] = None,
@@ -315,7 +316,7 @@ class PASession:
         else:
             self.solver = PASolver(
                 net, mode=mode, seed=seed, root=root,
-                strict_bits=strict_bits, strict_edges=strict_edges,
+                strict_bits=strict_bits,
                 schedule=schedule, async_mode=async_mode,
                 engine_impl=engine_impl, profile=profile,
             )
@@ -429,7 +430,6 @@ class PASession:
             self._orchestrator = ShardOrchestrator(
                 self.workers,
                 strict_bits=engine.strict_bits,
-                strict_edges=engine.strict_edges,
                 use_arrays=engine.use_arrays,
                 profile=engine.profile,
             )
@@ -446,56 +446,22 @@ class PASession:
             and "fork" in multiprocessing.get_all_start_methods()
         )
 
-    def _solve_sharded(
-        self,
-        setup: PASetup,
-        values: Sequence[object],
-        agg: Aggregation,
-        agg_encoded: object,
-        charge_setup: bool,
-        phase_prefix: str,
-    ) -> PAResult:
-        """Mirror of ``PASolver.solve`` with the wave pass orchestrated.
-
-        The plan is computed rank-0 from the *global* structures —
-        advancing ``solver.rng`` exactly as the in-process path would —
-        and only the three wave phases run on the workers.
-        """
-        solver = self.solver
-        ledger = CostLedger()
-        if charge_setup:
-            ledger.merge(setup.setup_ledger, prefix="setup:")
-        plan = plan_pa_waves(
-            solver.engine, solver.net, setup.partition, setup.division,
-            setup.shortcut, values, agg,
-            randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
-        )
-        try:
-            outcome = self._shard_orchestrator().solve(
-                setup, plan, values, agg_encoded, ledger,
-                phase_prefix=phase_prefix,
-            )
-        except BaseException:
-            # A worker died or pickling blew up mid-wave: the pool's state
-            # is suspect, so reap it now rather than leaking forked
-            # processes behind the exception (a fresh orchestrator is
-            # lazily rebuilt if the caller retries).
-            self.close()
-            raise
-        self._last_solve_sharded = True
-        return PAResult(
-            aggregates=outcome.aggregates,
-            value_at_node=outcome.value_at_node,
-            ledger=ledger,
-            setup=setup,
-        )
-
     # -- cache mechanics (LRU bound + loop-entry pinning) ---------------
-    def _cache_lookup(self, key: Fingerprint) -> Optional[PASetup]:
+    def _cache_hit(self, key: Fingerprint) -> Optional[PASetup]:
+        """A cached setup for ``key`` with an empty setup ledger, or None.
+
+        Construction was charged when the entry was first built, so a hit
+        hands out a copy whose ledger is empty (the structures are shared).
+        """
         cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-        return cached
+        if cached is None:
+            return None
+        self._cache.move_to_end(key)
+        self.stats.cache_hits += 1
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.instant("session.cache_hit", "session")
+        return replace(cached, setup_ledger=CostLedger())
 
     def _cache_store(self, key: Fingerprint, setup: PASetup) -> None:
         self._cache[key] = setup
@@ -519,19 +485,19 @@ class PASession:
             self._coarsened_keys.discard(victim)
             self.stats.evictions += 1
             if self._orchestrator is not None:
-                # The workers pinned the shipped setup by identity; an
-                # evicted entry would otherwise stay resident in every
-                # worker until 16 further ships aged it out.
+                # The workers pinned the shipped setup; an evicted entry
+                # would otherwise stay resident in every worker until 16
+                # further ships aged it out.
                 self._orchestrator.release(evicted)
 
     def _traced_build(self, outcome: str, build):
         """Run ``build`` under a ``session.prepare`` span (traced only).
 
-        ``outcome`` is what the caller expects ("full" or "coarsened");
-        a coarsening that fell out of budget mid-build reports itself as
-        "rebuild" (detected via the stats counter).  The span carries
-        the built setup's ledger totals so a trace shows what each
-        construction cost without walking ledger events.
+        ``outcome`` is what the caller expects ("full", "coarsened" or
+        "refined"); a derivation that fell out of budget mid-build
+        reports itself as "rebuild" (detected via the stats counter).
+        The span carries the built setup's ledger totals so a trace shows
+        what each construction cost without walking ledger events.
         """
         tracer = current_tracer()
         if not tracer.enabled:
@@ -545,6 +511,19 @@ class PASession:
             args["rounds"] = setup.setup_ledger.rounds
             args["messages"] = setup.setup_ledger.messages
         return setup
+
+    def _full_prepare(
+        self,
+        partition: Partition,
+        leaders: Optional[Sequence[int]] = None,
+        **options,
+    ) -> PASetup:
+        """One counted run of the full pipeline (``stats.prepares``)."""
+        self.stats.prepares += 1
+        return self.solver.prepare(
+            partition, leaders=leaders,
+            shortcut_provider=self.shortcut_provider, **options,
+        )
 
     # ------------------------------------------------------------------
     def block_budget(self) -> int:
@@ -573,36 +552,21 @@ class PASession:
         an *empty* setup ledger (construction was already charged when it
         was first built); a miss builds, memoizes and returns as usual.
         """
-        if not self.reuse:
-            self.stats.prepares += 1
-            return self._traced_build(
-                "full",
-                lambda: self.solver.prepare(
-                    partition, leaders=leaders,
-                    congestion_budget=congestion_budget,
-                    block_target=block_target, validate=validate,
-                    shortcut_provider=self.shortcut_provider,
-                ),
-            )
-        key = partition_fingerprint(partition, leaders)
-        cached = self._cache_lookup(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.instant("session.cache_hit", "session")
-            return replace(cached, setup_ledger=CostLedger())
-        self.stats.prepares += 1
+        key = partition_fingerprint(partition, leaders) if self.reuse else None
+        if key is not None:
+            cached = self._cache_hit(key)
+            if cached is not None:
+                return cached
         setup = self._traced_build(
             "full",
-            lambda: self.solver.prepare(
-                partition, leaders=leaders,
+            lambda: self._full_prepare(
+                partition, leaders,
                 congestion_budget=congestion_budget,
                 block_target=block_target, validate=validate,
-                shortcut_provider=self.shortcut_provider,
             ),
         )
-        self._cache_store(key, setup)
+        if key is not None:
+            self._cache_store(key, setup)
         return setup
 
     def prepare_incremental(
@@ -626,15 +590,18 @@ class PASession:
         if not self.reuse or previous is None:
             return self.prepare(partition, leaders=leaders)
         key = partition_fingerprint(partition, leaders)
-        cached = self._cache_lookup(key)
+        cached = self._cache_hit(key)
         if cached is not None:
-            self.stats.cache_hits += 1
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.instant("session.cache_hit", "session")
-            return replace(cached, setup_ledger=CostLedger())
+            return cached
         pid_map = _coarsening_map(previous.partition, partition)
-        if pid_map is None:
+        if pid_map is not None:
+            setup = self._traced_build(
+                "coarsened",
+                lambda: self.coarsen(
+                    previous, partition, pid_map, leaders=leaders
+                ),
+            )
+        else:
             new_to_old = _refinement_map(previous.partition, partition)
             if new_to_old is None:
                 return self.prepare(partition, leaders=leaders)
@@ -644,20 +611,15 @@ class PASession:
                     previous, partition, new_to_old, leaders=leaders
                 ),
             )
+        self._coarsened_keys.add(key)
+        self._cache_store(key, setup)
+        if pid_map is None:
             # Refined entries are unpinned like coarsened ones, but the
             # previous entry is *not* superseded: unlike a phase loop's
             # forward-only merges, split partitions can re-merge (a
             # service tenant re-presenting yesterday's grouping), so the
             # parent entry stays until the LRU bound says otherwise.
-            self._coarsened_keys.add(key)
-            self._cache_store(key, setup)
             return setup
-        setup = self._traced_build(
-            "coarsened",
-            lambda: self.coarsen(previous, partition, pid_map, leaders=leaders),
-        )
-        self._coarsened_keys.add(key)
-        self._cache_store(key, setup)
         # The previous link of a coarsening chain is superseded: comp
         # labels only merge forward, so its partition cannot recur (the
         # no-merge retry re-presents the *latest* partition, which is the
@@ -671,38 +633,28 @@ class PASession:
                 self._cache.pop(prev_key, None)
         return setup
 
-    def coarsen(
+    def _derive(
         self,
-        previous: PASetup,
+        kind: str,
         partition: Partition,
-        pid_map: Sequence[int],
-        leaders: Optional[Sequence[int]] = None,
+        leaders: Optional[Sequence[int]],
+        project,
+        congestion_budget: Optional[int] = None,
     ) -> PASetup:
-        """Project ``previous``'s machinery onto a merged partition.
+        """The derivation skeleton :meth:`coarsen` and :meth:`refine` share.
 
-        Steps, each metered into the returned setup's ledger:
-
-        1. relabel/union the shortcut (:func:`coarsen_shortcut`) — free of
-           communication (the relabel broadcast that merged the parts
-           already carried the new ids);
-        2. keep the sub-part forest (old sub-parts still refine merged
-           parts) and extend the wave boundary lists only at former part
-           borders — one round in which nodes of merged parts compare
-           part ids with neighbors;
-        3. re-annotate blocks distributively (roots and depths change as
-           blocks fuse);
-        4. re-verify the block parameter *with PA itself* over the
-           coarsened machinery (Algorithm 2 / Lemma 4.5).  If the
-           verified count exceeds :meth:`block_budget`, the projection is
-           discarded and a fresh :meth:`prepare` runs instead (charged to
-           the same ledger) — quality degradation can cost a rebuild, but
-           never rounds-silently compounds.
-
-        Congestion needs no re-check: relabeling can only dedupe per-edge
-        part sets, so ``c`` never grows under coarsening.
+        ``kind`` ("coarsen" or "refine") names the ledger phases.  The
+        leaders are validated, then ``project(leaders)`` builds the
+        projected ``(shortcut, division, touched)`` — the division's wave
+        boundary already repaired at ``touched`` nodes, all of which take
+        part in one ``{kind}_boundary_exchange`` round.  Blocks are then
+        re-annotated and the block parameter re-verified *with PA itself*
+        (Algorithm 2 / Lemma 4.5).  A verified count above
+        :meth:`block_budget`, or a congestion above ``congestion_budget``
+        when one is given, discards the projection for a counted full
+        prepare charged to the same ledger under the ``rebuild:`` prefix.
         """
         solver = self.solver
-        net = solver.net
         if leaders is None:
             leaders = solver.default_leaders(partition)
         leaders = tuple(leaders)
@@ -710,68 +662,34 @@ class PASession:
             if partition.part_of[leader] != pid:
                 raise ValueError(f"leader {leader} is not in part {pid}")
 
+        shortcut, division, touched = project(leaders)
         ledger = CostLedger()
-        shortcut = coarsen_shortcut(previous.shortcut, partition, pid_map)
-        division = SubPartDivision(
-            partition=partition,
-            forest=previous.division.forest,
-            rep_of=previous.division.rep_of,
-            part_leader=leaders,
-        )
-
-        # Incremental wave boundary: every old boundary edge stays (its
-        # endpoints' parts merged together or not at all); the only new
-        # candidates are edges between formerly-distinct parts that now
-        # share one — found by scanning just the members of merged parts.
-        old_boundary = compute_wave_boundary(
-            net, previous.partition, previous.division
-        )
-        merged_new_pids = set()
-        seen_new: set = set()
-        for new_pid in pid_map:
-            if new_pid in seen_new:
-                merged_new_pids.add(new_pid)
-            seen_new.add(new_pid)
-        boundary: List[Tuple[int, ...]] = list(old_boundary)
-        old_part_of = previous.partition.part_of
-        new_part_of = partition.part_of
-        touched = 0
-        for new_pid in merged_new_pids:
-            for v in partition.members[new_pid]:
-                gains = tuple(
-                    nb
-                    for nb in net.neighbors[v]
-                    if new_part_of[nb] == new_pid
-                    and old_part_of[nb] != old_part_of[v]
-                )
-                if gains:
-                    boundary[v] = old_boundary[v] + gains
-                touched += 1
-        division._wave_boundary_cache = boundary
-        # One round: members of merged parts exchange new part ids with
-        # neighbors to discover the fresh boundary edges (the relabel
-        # broadcast told them their own id; this is the neighbor side).
+        # One round: members of the changed parts exchange their new part
+        # ids with neighbors to settle which edges now cross parts (the
+        # relabel/split broadcast told them their own id; this is the
+        # neighbor side).
         ledger.charge_local(
-            "coarsen_boundary_exchange", rounds=1, messages=2 * touched
+            f"{kind}_boundary_exchange", rounds=1, messages=2 * touched
         )
-
         annotations = annotate_blocks(solver.engine, shortcut, ledger)
         counts = verify_block_parameters(
-            solver.engine, net, partition, division, shortcut, annotations,
-            ledger, randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
-            phase_prefix="coarsen_verify",
+            solver.engine, solver.net, partition, division, shortcut,
+            annotations, ledger, randomized=(solver.mode == RANDOMIZED),
+            rng=solver.rng, phase_prefix=f"{kind}_verify",
         )
-        self.stats.coarsenings += 1
-        if max(counts, default=0) > self.block_budget():
-            # Verified quality fell out of budget: rebuild from scratch,
-            # keeping the verification cost on the ledger (it was paid).
+        if kind == "coarsen":
+            self.stats.coarsenings += 1
+        else:
+            self.stats.refinements += 1
+        if max(counts, default=0) > self.block_budget() or (
+            congestion_budget is not None
+            and shortcut.congestion() > congestion_budget
+        ):
+            # Quality fell out of budget: rebuild from scratch, keeping
+            # the verification cost on the ledger (it was paid).
             self.stats.rebuilds += 1
-            rebuilt = self.solver.prepare(
-                partition, leaders=leaders,
-                shortcut_provider=self.shortcut_provider,
-            )
+            rebuilt = self._full_prepare(partition, leaders)
             ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
-            self.stats.prepares += 1
             return replace(rebuilt, setup_ledger=ledger)
 
         return PASetup(
@@ -782,6 +700,77 @@ class PASession:
             annotations=annotations,
             setup_ledger=ledger,
         )
+
+    def coarsen(
+        self,
+        previous: PASetup,
+        partition: Partition,
+        pid_map: Sequence[int],
+        leaders: Optional[Sequence[int]] = None,
+    ) -> PASetup:
+        """Project ``previous``'s machinery onto a merged partition.
+
+        The projection, run inside the shared derivation skeleton (see
+        :meth:`_derive` for the metered re-verification and the budget
+        fallback):
+
+        1. relabel/union the shortcut (:func:`coarsen_shortcut`) — free of
+           communication (the relabel broadcast that merged the parts
+           already carried the new ids);
+        2. keep the sub-part forest (old sub-parts still refine merged
+           parts) and extend the wave boundary lists only at former part
+           borders — one ``coarsen_boundary_exchange`` round in which
+           nodes of merged parts compare part ids with neighbors.
+
+        Blocks are then re-annotated and re-verified under the
+        ``coarsen_verify`` prefix; a verified count above
+        :meth:`block_budget` costs a counted ``rebuild:`` full prepare.
+        Congestion needs no re-check: relabeling can only dedupe per-edge
+        part sets, so ``c`` never grows under coarsening.
+        """
+        net = self.solver.net
+
+        def project(leaders):
+            shortcut = coarsen_shortcut(previous.shortcut, partition, pid_map)
+            division = SubPartDivision(
+                partition=partition,
+                forest=previous.division.forest,
+                rep_of=previous.division.rep_of,
+                part_leader=leaders,
+            )
+            # Incremental wave boundary: every old boundary edge stays
+            # (its endpoints' parts merged together or not at all); the
+            # only new candidates are edges between formerly-distinct
+            # parts that now share one — found by scanning just the
+            # members of merged parts.
+            old_boundary = compute_wave_boundary(
+                net, previous.partition, previous.division
+            )
+            merged_new_pids = set()
+            seen_new: set = set()
+            for new_pid in pid_map:
+                if new_pid in seen_new:
+                    merged_new_pids.add(new_pid)
+                seen_new.add(new_pid)
+            boundary: List[Tuple[int, ...]] = list(old_boundary)
+            old_part_of = previous.partition.part_of
+            new_part_of = partition.part_of
+            touched = 0
+            for new_pid in merged_new_pids:
+                for v in partition.members[new_pid]:
+                    gains = tuple(
+                        nb
+                        for nb in net.neighbors[v]
+                        if new_part_of[nb] == new_pid
+                        and old_part_of[nb] != old_part_of[v]
+                    )
+                    if gains:
+                        boundary[v] = old_boundary[v] + gains
+                    touched += 1
+            division._wave_boundary_cache = boundary
+            return shortcut, division, touched
+
+        return self._derive("coarsen", partition, leaders, project)
 
     def refine(
         self,
@@ -805,119 +794,82 @@ class PASession:
         Unlike coarsening, both quality measures can degrade: congestion
         multiplies by the split factor on shared tree edges, and cut
         forests make blocks reachable from fewer representatives.  The
-        projection is therefore re-verified with PA itself (Algorithm 2)
-        *and* its congestion re-checked against
+        shared derivation skeleton (:meth:`_derive`) therefore re-verifies
+        the projection with PA itself (Algorithm 2, ``refine_verify``)
+        *and* re-checks its congestion against
         ``max(previous c, general-graph envelope)``; exceeding either
         budget discards it for a fresh :meth:`prepare` charged to the
         same ledger under the ``rebuild:`` prefix.
         """
         solver = self.solver
         net = solver.net
-        if leaders is None:
-            leaders = solver.default_leaders(partition)
-        leaders = tuple(leaders)
-        for pid, leader in enumerate(leaders):
-            if partition.part_of[leader] != pid:
-                raise ValueError(f"leader {leader} is not in part {pid}")
 
-        ledger = CostLedger()
-        shortcut = refine_shortcut(previous.shortcut, partition, new_to_old)
+        def project(leaders):
+            shortcut = refine_shortcut(
+                previous.shortcut, partition, new_to_old
+            )
+            # Cut the sub-part forest at the new part borders: a parent
+            # edge whose endpoints landed in different fragments is
+            # severed, the orphaned child becoming the representative of
+            # its subtree.
+            new_part_of = partition.part_of
+            parent = list(previous.division.forest.parent)
+            cut = 0
+            for v, p in enumerate(parent):
+                if p >= 0 and new_part_of[p] != new_part_of[v]:
+                    parent[v] = ROOT
+                    cut += 1
+            forest = (
+                RootedForest(net, parent) if cut else previous.division.forest
+            )
+            rep_of: List[int] = [-1] * net.n
+            for v in forest.order:
+                p = forest.parent[v]
+                rep_of[v] = v if p < 0 else rep_of[p]
+            division = SubPartDivision(
+                partition=partition,
+                forest=forest,
+                rep_of=tuple(rep_of),
+                part_leader=leaders,
+            )
+            # Incremental wave boundary: no edge *gains* boundary status
+            # under a split (same-fragment neighbors were same-part
+            # before, and cut tree edges now cross parts), so members of
+            # split parts just filter their lists down to same-fragment
+            # neighbors.
+            old_boundary = compute_wave_boundary(
+                net, previous.partition, previous.division
+            )
+            split_old_pids = {
+                old_pid
+                for old_pid, count in _fragment_counts(
+                    new_to_old, previous.partition.num_parts
+                ).items()
+                if count > 1
+            }
+            boundary: List[Tuple[int, ...]] = list(old_boundary)
+            fparent = forest.parent
+            touched = 0
+            for old_pid in split_old_pids:
+                for v in previous.partition.members[old_pid]:
+                    boundary[v] = tuple(
+                        nb
+                        for nb in net.neighbors[v]
+                        if new_part_of[nb] == new_part_of[v]
+                        and fparent[v] != nb
+                        and fparent[nb] != v
+                    )
+                    touched += 1
+            division._wave_boundary_cache = boundary
+            return shortcut, division, touched
 
-        # Cut the sub-part forest at the new part borders: a parent edge
-        # whose endpoints landed in different fragments is severed, the
-        # orphaned child becoming the representative of its subtree.
-        new_part_of = partition.part_of
-        parent = list(previous.division.forest.parent)
-        cut = 0
-        for v, p in enumerate(parent):
-            if p >= 0 and new_part_of[p] != new_part_of[v]:
-                parent[v] = ROOT
-                cut += 1
-        forest = (
-            RootedForest(net, parent) if cut else previous.division.forest
-        )
-        rep_of: List[int] = [-1] * net.n
-        for v in forest.order:
-            p = forest.parent[v]
-            rep_of[v] = v if p < 0 else rep_of[p]
-        division = SubPartDivision(
-            partition=partition,
-            forest=forest,
-            rep_of=tuple(rep_of),
-            part_leader=leaders,
-        )
-
-        # Incremental wave boundary: no edge *gains* boundary status under
-        # a split (same-fragment neighbors were same-part before, and cut
-        # tree edges now cross parts), so members of split parts just
-        # filter their lists down to same-fragment neighbors.
-        old_boundary = compute_wave_boundary(
-            net, previous.partition, previous.division
-        )
-        split_old_pids = {
-            old_pid
-            for old_pid, count in _fragment_counts(
-                new_to_old, previous.partition.num_parts
-            ).items()
-            if count > 1
-        }
-        boundary: List[Tuple[int, ...]] = list(old_boundary)
-        fparent = forest.parent
-        touched = 0
-        for old_pid in split_old_pids:
-            for v in previous.partition.members[old_pid]:
-                boundary[v] = tuple(
-                    nb
-                    for nb in net.neighbors[v]
-                    if new_part_of[nb] == new_part_of[v]
-                    and fparent[v] != nb
-                    and fparent[nb] != v
-                )
-                touched += 1
-        division._wave_boundary_cache = boundary
-        # One round: members of split parts exchange fragment ids with
-        # neighbors to drop the edges that now cross parts (the split
-        # broadcast told them their own fragment; this is the neighbor
-        # side) — the mirror of the coarsening exchange.
-        ledger.charge_local(
-            "refine_boundary_exchange", rounds=1, messages=2 * touched
-        )
-
-        annotations = annotate_blocks(solver.engine, shortcut, ledger)
-        counts = verify_block_parameters(
-            solver.engine, net, partition, division, shortcut, annotations,
-            ledger, randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
-            phase_prefix="refine_verify",
-        )
-        self.stats.refinements += 1
-        diameter = max(1, 2 * solver.tree_result.depth)
         congestion_budget = max(
             previous.shortcut.congestion(),
-            shortcut_hint_for_family("general", net.n, diameter)[1],
+            shortcut_hint_for_family("general", net.n, solver.diameter)[1],
         )
-        if (
-            max(counts, default=0) > self.block_budget()
-            or shortcut.congestion() > congestion_budget
-        ):
-            # Quality fell out of budget (too many blocks, or split
-            # fragments piling onto shared tree edges): rebuild from
-            # scratch, keeping the verification cost on the ledger.
-            self.stats.rebuilds += 1
-            rebuilt = self.solver.prepare(
-                partition, leaders=leaders,
-                shortcut_provider=self.shortcut_provider,
-            )
-            ledger.merge(rebuilt.setup_ledger, prefix="rebuild:")
-            self.stats.prepares += 1
-            return replace(rebuilt, setup_ledger=ledger)
-
-        return PASetup(
-            partition=partition,
-            leaders=leaders,
-            division=division,
-            shortcut=shortcut,
-            annotations=annotations,
-            setup_ledger=ledger,
+        return self._derive(
+            "refine", partition, leaders, project,
+            congestion_budget=congestion_budget,
         )
 
     # -- evolving graphs ------------------------------------------------
@@ -1033,7 +985,6 @@ class PASession:
             self.solver = PASolver(
                 new_net, mode=solver.mode, seed=solver.seed,
                 strict_bits=engine.strict_bits,
-                strict_edges=engine.strict_edges,
                 schedule=solver.schedule,
                 engine_impl=solver.engine_impl,
                 profile=getattr(engine, "profile", False),
@@ -1148,21 +1099,74 @@ class PASession:
         same rng advance, rounds/messages bit-for-bit) and falls back
         in-process otherwise (``stats.sharded_fallbacks``).
         """
+        result = self._wave_pass(
+            setup, values, agg, charge_setup, phase_prefix
+        )
+        if not self._last_solve_sharded:
+            self.stats.solves += 1
+        return result
+
+    def _wave_pass(
+        self,
+        setup: PASetup,
+        values: Sequence[object],
+        agg: Aggregation,
+        charge_setup: bool = True,
+        phase_prefix: str = "pa",
+    ) -> PAResult:
+        """One wave pass: on the worker pool when eligible, else in-process.
+
+        The only backend-specific step of :meth:`solve` and
+        :meth:`solve_many` (products of stock aggregations encode by
+        their factors, so batched passes shard too).  A sharded pass
+        mirrors ``PASolver.solve``: the plan is computed rank-0 from the
+        *global* structures — advancing ``solver.rng`` exactly as the
+        in-process path would — and only the three wave phases run on
+        the workers.
+        """
+        solver = self.solver
+        encoded = None
         if self.backend == "sharded":
             from ..shard import encode_aggregation
 
             encoded = encode_aggregation(agg)
-            if encoded is not None and self._shard_eligible():
-                self.stats.sharded_solves += 1
-                return self._solve_sharded(
-                    setup, values, agg, encoded, charge_setup, phase_prefix,
-                )
-            self.stats.sharded_fallbacks += 1
-        self.stats.solves += 1
-        self._last_solve_sharded = False
-        return self.solver.solve(
-            setup, values, agg,
-            charge_setup=charge_setup, phase_prefix=phase_prefix,
+            if encoded is None or not self._shard_eligible():
+                self.stats.sharded_fallbacks += 1
+                encoded = None
+        if encoded is None:
+            self._last_solve_sharded = False
+            return solver.solve(
+                setup, values, agg,
+                charge_setup=charge_setup, phase_prefix=phase_prefix,
+            )
+
+        self.stats.sharded_solves += 1
+        ledger = CostLedger()
+        if charge_setup:
+            ledger.merge(setup.setup_ledger, prefix="setup:")
+        plan = plan_pa_waves(
+            solver.engine, solver.net, setup.partition, setup.division,
+            setup.shortcut, values, agg,
+            randomized=(solver.mode == RANDOMIZED), rng=solver.rng,
+        )
+        try:
+            outcome = self._shard_orchestrator().solve(
+                setup, plan, values, encoded, ledger,
+                phase_prefix=phase_prefix,
+            )
+        except BaseException:
+            # A worker died or pickling blew up mid-wave: the pool's state
+            # is suspect, so reap it now rather than leaking forked
+            # processes behind the exception (a fresh orchestrator is
+            # lazily rebuilt if the caller retries).
+            self.close()
+            raise
+        self._last_solve_sharded = True
+        return PAResult(
+            aggregates=outcome.aggregates,
+            value_at_node=outcome.value_at_node,
+            ledger=ledger,
+            setup=setup,
         )
 
     def solve_many(
@@ -1181,104 +1185,18 @@ class PASession:
         identical to the pre-session code.  Merge the returned
         ``.ledger`` exactly once; never the per-result ledgers.
 
-        ``backend="sharded"`` orchestrates the pass(es) on the worker
-        pool when eligible — the batched path ships the aggregation
-        product by component names, the unbatched path routes each item
-        through :meth:`solve` (sharding each in turn).
+        Both backends share :func:`~repro.core.pa.run_solve_many` (the
+        body of ``PASolver.solve_many``); ``backend="sharded"`` differs
+        only in how each wave pass runs (see :meth:`solve`).
         """
-        if self.backend == "sharded":
-            result = self._solve_many_sharded(
-                setup, items, charge_setup, phase_prefix, phase_prefixes,
-            )
-            if result is not None:
-                return result
         if self.batch and len(items) > 1:
             self.stats.batched_solves += len(items)
+            solve = self._wave_pass
         else:
-            self.stats.solves += len(items)
-        self._last_solve_sharded = False
-        return self.solver.solve_many(
-            setup, items, charge_setup=charge_setup,
-            phase_prefix=phase_prefix, phase_prefixes=phase_prefixes,
+            solve = self.solve
+        return run_solve_many(
+            solve, setup, items, charge_setup, phase_prefix, phase_prefixes,
             batched=self.batch,
-        )
-
-    def _solve_many_sharded(
-        self,
-        setup: PASetup,
-        items: Sequence[Tuple[Sequence[object], Aggregation]],
-        charge_setup: bool,
-        phase_prefix: str,
-        phase_prefixes: Optional[Sequence[str]],
-    ) -> Optional[PABatchResult]:
-        """Sharded mirror of ``PASolver.solve_many``; None = fall back.
-
-        Argument validation stays with the delegate (it raises the same
-        errors either way), so this only runs on well-formed requests.
-        """
-        if phase_prefixes is not None and len(phase_prefixes) != len(items):
-            return None
-        if not items:
-            return None
-
-        if not self.batch or len(items) == 1:
-            # Sequential items, each routed through solve() (and thus
-            # sharded when eligible) — exact order/prefix/randomness of
-            # the unbatched delegate.
-            ledger = CostLedger()
-            per_agg: List[PAResult] = []
-            for k, (values, agg) in enumerate(items):
-                prefix = (
-                    phase_prefixes[k] if phase_prefixes is not None
-                    else f"{phase_prefix}{k}"
-                )
-                result = self.solve(
-                    setup, values, agg,
-                    charge_setup=charge_setup and k == 0,
-                    phase_prefix=prefix,
-                )
-                ledger.merge(result.ledger)
-                per_agg.append(result)
-            return PABatchResult(
-                per_agg=per_agg, ledger=ledger, setup=setup, batched=False
-            )
-
-        from ..shard import encode_batch
-
-        aggs = [agg for _values, agg in items]
-        encoded = encode_batch(aggs)
-        if encoded is None or not self._shard_eligible():
-            self.stats.sharded_fallbacks += 1
-            return None
-        self.stats.batched_solves += len(items)
-        self.stats.sharded_solves += 1
-        combined_values = list(zip(*(values for values, _agg in items)))
-        combined = self._solve_sharded(
-            setup, combined_values, product_aggregation(aggs), encoded,
-            charge_setup, phase_prefix,
-        )
-        k = len(items)
-        per_agg = []
-        for idx in range(k):
-            aggregates = {
-                pid: (value[idx] if value is not None else None)
-                for pid, value in combined.aggregates.items()
-            }
-            value_at_node = [
-                (value[idx] if value is not None else None)
-                for value in combined.value_at_node
-            ]
-            per_agg.append(
-                PAResult(
-                    aggregates=aggregates,
-                    value_at_node=value_at_node,
-                    ledger=combined.ledger,
-                    setup=setup,
-                )
-            )
-        return PABatchResult(
-            per_agg=per_agg, ledger=combined.ledger, setup=setup,
-            batched=True,
         )
 
 

@@ -48,29 +48,25 @@ _BY_IDENTITY = {
 def encode_aggregation(agg: Aggregation) -> Optional[object]:
     """Encode a stock (or stock-product) aggregation for the pipe.
 
-    Returns ``("stock", name)`` / ``("product", [names...])``, or
-    ``None`` when the aggregation is not expressible — the caller then
-    falls back to the in-process solver.
+    Returns ``("stock", name)`` / ``("product", [names...])`` — a
+    product is recognized by the factors :func:`product_aggregation`
+    records on its ``combine`` — or ``None`` when the aggregation is not
+    expressible; the caller then falls back to the in-process solver.
     """
     name = _BY_IDENTITY.get(id(agg))
     if name is not None:
         return ("stock", name)
-    return None
-
-
-def encode_batch(aggs: Sequence[Aggregation]) -> Optional[object]:
-    """Encode a product of stock aggregations (the batched solve path)."""
-    names = []
-    for agg in aggs:
-        name = _BY_IDENTITY.get(id(agg))
-        if name is None:
-            return None
-        names.append(name)
+    factors = getattr(agg.combine, "factors", None)
+    if factors is None:
+        return None
+    names = [_BY_IDENTITY.get(id(factor)) for factor in factors]
+    if None in names:
+        return None
     return ("product", names)
 
 
 def decode_aggregation(encoded: object) -> Aggregation:
-    """Worker-side inverse of :func:`encode_aggregation`/``encode_batch``."""
+    """Worker-side inverse of :func:`encode_aggregation`."""
     kind, arg = encoded
     if kind == "stock":
         return getattr(_aggmod, arg)
@@ -108,7 +104,6 @@ class ShardOrchestrator:
         self,
         workers: int,
         strict_bits: bool = True,
-        strict_edges: bool = True,
         use_arrays: bool = True,
         profile: bool = False,
     ) -> None:
@@ -117,14 +112,13 @@ class ShardOrchestrator:
         self.workers = workers
         self._engine_flags = {
             "strict_bits": strict_bits,
-            "strict_edges": strict_edges,
             "use_arrays": use_arrays,
             "profile": profile,
         }
         self._procs: List[multiprocessing.Process] = []
         self._pipes: List = []
-        #: id(setup) -> (setup ref, setup_id, [_ShardHandle, ...]).  The
-        #: strong setup reference keeps the id stable while cached.
+        #: id(setup) -> (setup ref, setup_id, [_ShardHandle, ...]), one
+        #: record per shipped setup and its copies (see :meth:`_record`).
         self._shipped: Dict[int, Tuple[PASetup, str, List[_ShardHandle]]] = {}
         self._ids = itertools.count()
         self._closed = False
@@ -155,11 +149,35 @@ class ShardOrchestrator:
         return reply
 
     # ------------------------------------------------------------------
-    def ship(self, setup: PASetup) -> List[_ShardHandle]:
-        """Shard ``setup`` and ship each shard to its worker (memoized)."""
-        cached = self._shipped.get(id(setup))
-        if cached is not None and cached[0] is setup:
-            return cached[2]
+    def _record(
+        self, setup: PASetup
+    ) -> Optional[Tuple[int, Tuple[PASetup, str, List[_ShardHandle]]]]:
+        """``(key, record)`` of the ship that serves ``setup``, or None.
+
+        Matched on the structures the payload is built from, not on the
+        setup object: a session cache hit hands out a fresh copy (with an
+        empty setup ledger) that shares them, and must not re-ship.
+        """
+        for key, record in self._shipped.items():
+            shipped = record[0]
+            if (
+                shipped.partition is setup.partition
+                and shipped.division is setup.division
+                and shipped.shortcut is setup.shortcut
+                and shipped.annotations is setup.annotations
+            ):
+                return key, record
+        return None
+
+    def ship(self, setup: PASetup) -> Tuple[str, List[_ShardHandle]]:
+        """Shard ``setup`` and ship each shard to its worker (memoized).
+
+        Returns the worker-side setup id and the shard handles.
+        """
+        found = self._record(setup)
+        if found is not None:
+            _setup, setup_id, handles = found[1]
+            return setup_id, handles
         self._ensure_workers()
         plan = build_shard_plan(setup, self.workers)
         setup_id = f"setup-{next(self._ids)}"
@@ -191,10 +209,10 @@ class ShardOrchestrator:
             self._recv(handle.worker_index)
         self._ship_seconds = time.perf_counter() - ship_start
         self._shipped[id(setup)] = (setup, setup_id, handles)
-        # Retire records whose setup object has been replaced at that id.
+        # Bound the rank-0 pins: retire the oldest record.
         if len(self._shipped) > 16:
             self._shipped.pop(next(iter(self._shipped)))
-        return handles
+        return setup_id, handles
 
     def solve(
         self,
@@ -206,8 +224,7 @@ class ShardOrchestrator:
         phase_prefix: str = "pa",
     ) -> ShardSolveOutcome:
         """One orchestrated wave pass; charges merged phases to ``ledger``."""
-        handles = self.ship(setup)
-        setup_id = self._shipped[id(setup)][1]
+        setup_id, handles = self.ship(setup)
         tracer = current_tracer()
         n = len(setup.partition.part_of)
 
@@ -291,13 +308,14 @@ class ShardOrchestrator:
         :attr:`_shipped` — and the rebuilt shard in every worker's LRU —
         would keep the whole setup resident until enough further ships
         aged it out.  Unknown (never-shipped or already-released) setups
-        are a no-op.
+        are a no-op; a copy sharing a shipped setup's structures releases
+        it.
         """
-        cached = self._shipped.get(id(setup))
-        if cached is None or cached[0] is not setup:
+        found = self._record(setup)
+        if found is None:
             return
-        _setup, setup_id, handles = cached
-        del self._shipped[id(setup)]
+        key, (_setup, setup_id, handles) = found
+        del self._shipped[key]
         if self._closed or not self._pipes:
             return
         workers_used = sorted({h.worker_index for h in handles})

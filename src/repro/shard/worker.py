@@ -50,7 +50,6 @@ def _load(payload: Dict[str, object]) -> _LoadedShard:
     engine = Engine(
         setup.net,
         strict_bits=payload["strict_bits"],
-        strict_edges=payload["strict_edges"],
         use_arrays=payload["use_arrays"],
         profile=payload["profile"],
     )

@@ -277,8 +277,6 @@ def test_edge_and_bit_audits_match_sync_engine():
         AsyncEngine(net, SynchronousSchedule()).run(
             FunctionProgram("bits", fat_payload, step), max_ticks=5
         )
-    with pytest.raises(ValueError):
-        AsyncEngine(net, strict_edges=False, strict_bits=True)
 
 
 def test_round_limit_enforced():

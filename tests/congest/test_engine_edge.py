@@ -410,7 +410,7 @@ def test_send_batch_valid_src_accepts_generators(path10):
 
 
 # ----------------------------------------------------------------------
-# BulkProgram and FastContext: dispatch variants are ledger-identical
+# BulkProgram and the bit audit: dispatch variants are ledger-identical
 # ----------------------------------------------------------------------
 class _EchoRing(Program):
     """Token circles a path: every node forwards to the other neighbor."""
@@ -448,36 +448,12 @@ def test_bulk_program_matches_sequential_program(path10):
     assert seq.trace == bulk.trace
 
 
-def test_fast_context_ledger_parity(path10):
+def test_unaudited_bits_ledger_parity(path10):
     strict = Engine(path10).run(_EchoRing(7), max_ticks=20)
-    fast_prog = _EchoRing(7)
-    fast = Engine(path10, strict_bits=False, strict_edges=False).run(
-        fast_prog, max_ticks=20
-    )
+    fast = Engine(path10, strict_bits=False).run(_EchoRing(7), max_ticks=20)
     assert (strict.rounds, strict.messages, strict.ticks) == (
         fast.rounds, fast.messages, fast.ticks,
     )
-
-
-def test_fast_context_selected_only_when_both_audits_off(path10):
-    from repro.congest import FastContext
-    from repro.congest.engine import Context as StrictContext
-
-    seen = {}
-
-    def start(ctx):
-        seen["cls"] = type(ctx)
-
-    prog = FunctionProgram("probe", start, lambda c, n, i: None)
-    Engine(path10, strict_bits=False, strict_edges=False).run(prog, max_ticks=2)
-    assert seen["cls"] is FastContext
-    Engine(path10, strict_bits=False, strict_edges=True).run(prog, max_ticks=2)
-    assert seen["cls"] is StrictContext
-    # The audits come off together: dropping only the edge audit would
-    # silently keep it (Context has no strict_edges branch), so the
-    # combination is rejected outright.
-    with pytest.raises(ValueError):
-        Engine(path10, strict_bits=True, strict_edges=False)
 
 
 def test_engine_arena_reuse_across_phases_is_clean(path10):
@@ -506,7 +482,7 @@ def test_pa_pipeline_parity_between_strict_and_fast_engines():
         return result.rounds, result.messages, dict(result.aggregates)
 
     strict = pipeline()
-    loose = pipeline(strict_bits=False, strict_edges=False)
+    loose = pipeline(strict_bits=False)
     assert strict == loose
 
 

@@ -6,10 +6,10 @@ import pytest
 
 from repro import PASession
 from repro.congest.ledger import EngineProfile, PhaseStats
-from repro.core import SUM
+from repro.core import SUM, product_aggregation
 from repro.core.aggregation import Aggregation
 from repro.graphs import random_connected, random_connected_partition
-from repro.shard import encode_aggregation, encode_batch, merge_shard_phases
+from repro.shard import encode_aggregation, merge_shard_phases
 from repro.shard.ledger_merge import phases_to_wire
 from repro.core.aggregation import MAX, MIN
 
@@ -75,8 +75,12 @@ def test_encode_aggregation_registry():
     assert encode_aggregation(SUM) == ("stock", "SUM")
     assert encode_aggregation(MIN) == ("stock", "MIN")
     assert encode_aggregation(Aggregation("custom", min)) is None
-    assert encode_batch([MIN, MAX]) == ("product", ["MIN", "MAX"])
-    assert encode_batch([MIN, Aggregation("custom", min)]) is None
+    assert encode_aggregation(product_aggregation([MIN, MAX])) == (
+        "product", ["MIN", "MAX"]
+    )
+    assert encode_aggregation(
+        product_aggregation([MIN, Aggregation("custom", min)])
+    ) is None
 
 
 def test_merge_shard_phases_rule():
